@@ -14,9 +14,14 @@ BENCH_LABEL ?= current
 # bench-guard enforces on the hot Run* benchmarks.
 BENCH_GUARD_PCT ?= 30
 
+# WORKLOAD, SEED and TRACE select the bench-e2e run (see uopsbench/README.md).
+WORKLOAD ?= isa-cold
+SEED ?= 1
+TRACE ?= 0
+
 .PHONY: build test vet race bench bench-smoke bench-json bench-json-smoke \
-	bench-compare bench-guard fmt fmt-check lint lint-extra ci ci-cmd \
-	ci-service ci-fleet ci-faults run-uopsd
+	bench-compare bench-guard bench-e2e fmt fmt-check lint lint-extra ci \
+	ci-cmd ci-service ci-fleet ci-faults run-uopsd
 
 build:
 	$(GO) build ./...
@@ -94,6 +99,13 @@ bench-guard:
 	echo "bench-guard: benchmarking working tree..."; \
 	$(GO) test -run='^$$' -bench='BenchmarkRun' -count=3 -benchtime=0.3s ./internal/pipesim > "$$tmp/new.txt"; \
 	$(GO) run ./cmd/benchjson -compare -fail-above=$(BENCH_GUARD_PCT) "$$tmp/old.txt" "$$tmp/new.txt"
+
+# bench-e2e runs the repository benchmark (uopsbench) for one 15-second
+# workload: `make bench-e2e WORKLOAD=isa-cold SEED=3 TRACE=0`. TRACE=1 adds
+# the per-layer traced repetitions. Alternate it between two checkouts for
+# before/after pairs; its last output line is the metrics JSON.
+bench-e2e:
+	bash uopsbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
 
 # fmt and fmt-check skip testdata trees: analyzer fixtures under
 # internal/analysis/**/testdata are lint inputs whose exact layout (including

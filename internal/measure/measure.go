@@ -67,8 +67,6 @@ type Config struct {
 	// Repetitions is the number of times the protocol is repeated and
 	// averaged (100 in the paper).
 	Repetitions int
-	// Warmup enables a discarded warm-up run before the measurements.
-	Warmup bool
 	// OverheadCycles and OverheadUops model the serializing instructions and
 	// performance-counter reads included in each raw reading.
 	OverheadCycles int
@@ -78,14 +76,14 @@ type Config struct {
 // DefaultConfig returns the configuration used for full-ISA characterization
 // runs on the simulator.
 func DefaultConfig() Config {
-	return Config{ShortCopies: 2, LongCopies: 12, Repetitions: 1, Warmup: true,
+	return Config{ShortCopies: 2, LongCopies: 12, Repetitions: 1,
 		OverheadCycles: 42, OverheadUops: 8}
 }
 
 // PaperConfig returns the copy counts and repetition count used by the paper
 // on real hardware (n=10 and n=110, 100 repetitions).
 func PaperConfig() Config {
-	return Config{ShortCopies: 10, LongCopies: 110, Repetitions: 100, Warmup: true,
+	return Config{ShortCopies: 10, LongCopies: 110, Repetitions: 100,
 		OverheadCycles: 42, OverheadUops: 8}
 }
 
@@ -108,8 +106,8 @@ type Harness struct {
 
 	// shortBuf and longBuf hold the materialized n-copy sequences for the
 	// current measurement. The protocol runs each of them once per
-	// repetition (plus warmup), so they are built at most once per Measure
-	// call and their backing arrays are reused across calls; when the same
+	// repetition, so they are built at most once per Measure call and
+	// their backing arrays are reused across calls; when the same
 	// code sequence is measured again back to back (e.g. re-measuring a
 	// divider variant under a different operand-value regime), the buffers
 	// are reused outright.
@@ -165,7 +163,10 @@ func (h *Harness) Fork() (*Harness, error) {
 
 // Measure runs the protocol on the given code sequence and returns per-copy
 // averages: the counters for executing the sequence once, with harness
-// overhead removed.
+// overhead removed. On hardware the protocol discards a warm-up run first;
+// the simulated processor starts every Run from a reset machine, so a
+// warm-up run would only reproduce the short run's counters, and Measure
+// performs none.
 func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if len(code) == 0 {
 		return Result{}, fmt.Errorf("measure: empty code sequence")
@@ -173,9 +174,9 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	numPorts := h.runner.Arch().NumPorts()
 	acc := Result{PortUops: make([]float64, numPorts)}
 
-	// Materialize the two copy-count sequences once; every repetition (and
-	// the warmup) runs the same code, so re-concatenating it per run would
-	// only produce garbage for identical inputs. If the buffers already hold
+	// Materialize the two copy-count sequences once; every repetition runs
+	// the same code, so re-concatenating it per run would only produce
+	// garbage for identical inputs. If the buffers already hold
 	// exactly this code (same instruction instances, element for element),
 	// skip even that: repeating the same pointers again would write back the
 	// identical slice contents.
@@ -189,11 +190,6 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 		h.seqBuilt++
 	}
 
-	if h.cfg.Warmup {
-		if _, err := h.rawRun(h.shortBuf); err != nil {
-			return Result{}, err
-		}
-	}
 	for rep := 0; rep < h.cfg.Repetitions; rep++ {
 		short, err := h.rawRun(h.shortBuf)
 		if err != nil {

@@ -33,7 +33,7 @@ func TestMeasureRemovesOverhead(t *testing.T) {
 	t.Parallel()
 	// With a large modelled overhead, the copy-differencing protocol must
 	// still report the per-copy cost of the code itself.
-	h, arch := skylakeHarness(Config{ShortCopies: 2, LongCopies: 12, Repetitions: 3, Warmup: true,
+	h, arch := skylakeHarness(Config{ShortCopies: 2, LongCopies: 12, Repetitions: 3,
 		OverheadCycles: 500, OverheadUops: 40})
 	seq := addSequence(t, arch, 8)
 	res, err := h.Measure(seq)

@@ -280,8 +280,8 @@ func timeoutContext(d time.Duration) (context.Context, context.CancelFunc) {
 // harnesses. It is not safe for concurrent use (like every Runner); the
 // scheduler forks one per worker goroutine, and forks share the fleet's
 // queues. A Runner keeps the encoded form and result of its last measurement:
-// the measurement protocol re-runs identical sequences back to back (warmup,
-// then the short reading), and on a deterministic substrate the repeat is
+// when an identical sequence is run twice in a row (the same code measured
+// again under an unchanged regime), the deterministic substrate's repeat is
 // answered locally instead of over the network.
 type Runner struct {
 	f       *fleet

@@ -57,3 +57,12 @@ func BenchmarkRunWideIndependentWindow(b *testing.B) {
 func BenchmarkRunScatteredDeps(b *testing.B) {
 	benchSequence(b, seqScatteredDeps(uarch.Get(uarch.Skylake)))
 }
+
+// BenchmarkRunRepeatedBlocking runs the sequence the measurement protocol's
+// long run sends for a blocking measurement: one port-blocking body repeated
+// 12 times with the same instruction pointers. Unlike the shapes above,
+// whose instructions are distinct objects and so have no period, it takes
+// Run's rename-replication path.
+func BenchmarkRunRepeatedBlocking(b *testing.B) {
+	benchSequence(b, seqBlockingSequence(uarch.Get(uarch.Skylake)).Repeat(12))
+}

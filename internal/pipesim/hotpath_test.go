@@ -111,6 +111,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		{"LoadStoreMix", seqLoadStoreMix(arch)},
 		{"WideIndependentWindow", seqWideIndependentWindow(arch)},
 		{"ScatteredDeps", seqScatteredDeps(arch)},
+		{"RepeatedBlocking", seqBlockingSequence(arch).Repeat(12)}, // replicated rename
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {

@@ -204,12 +204,24 @@ type Machine struct {
 
 	// Rename scoreboard: latest renamed value per architectural resource.
 	// Register families and status flags are flat arrays (-1 = live-in not
-	// yet materialized); memory addresses are arbitrary, so they keep a map
-	// that is cleared — not reallocated — between runs.
+	// yet materialized). Memory addresses are arbitrary: memBoard maps each
+	// address to its slot in memVals, which lists the memory entries in
+	// insertion order; the map is cleared — not reallocated — between runs.
 	regBoard  [isa.NumRegs]int32
 	flagBoard [numFlagVals]int32
 	memBoard  map[uint64]int32
+	memVals   []int32
 	produced  [isa.NumRegs]bool
+
+	// Rename replication (see renameRepeated): prefix is the scratch table
+	// of the period search, the snap* fields hold the scoreboards at the
+	// previous unit boundary, and replicated counts the units the current
+	// Run appended by copying instead of renaming.
+	prefix     []int32
+	snapReg    [isa.NumRegs]int32
+	snapFlag   [numFlagVals]int32
+	snapMem    []int32
+	replicated int
 
 	// Per-instruction temporaries, validity-tracked by epoch so no clearing
 	// is needed between instructions.
@@ -309,9 +321,11 @@ func (m *Machine) Reset() {
 		m.flagBoard[i] = -1
 	}
 	clear(m.memBoard)
+	m.memVals = m.memVals[:0]
 	for i := range m.produced {
 		m.produced[i] = false
 	}
+	m.replicated = 0
 	m.wnUop = m.wnUop[:0]
 	m.wnNext = m.wnNext[:0]
 	m.wakeHeap = m.wakeHeap[:0]
@@ -334,7 +348,7 @@ func (m *Machine) checkResetInvariants() {
 		len(m.writeIdx) != 0 || len(m.writeLat) != 0 ||
 		len(m.wnUop) != 0 || len(m.wnNext) != 0 || len(m.wakeHeap) != 0 ||
 		len(m.readyQ) != 0 || len(m.arrivals) != 0 || len(m.elimReady) != 0 ||
-		len(m.memBoard) != 0 {
+		len(m.memBoard) != 0 || len(m.memVals) != 0 || m.replicated != 0 {
 		panic("pipesim: Reset left arena or queue state behind")
 	}
 	for i := range m.regBoard {
@@ -366,10 +380,7 @@ func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 	if raceEnabled {
 		m.checkResetInvariants()
 	}
-	penalty, err := m.rename(code)
-	if err != nil {
-		return Counters{}, err
-	}
+	penalty := m.renameRepeated(code)
 	c := m.execute()
 	c.Cycles += penalty
 	return c, nil
@@ -427,12 +438,23 @@ func (m *Machine) liveInFlag(f isa.Flag) int32 {
 
 // liveInMem is liveInReg for a renamed memory slot.
 func (m *Machine) liveInMem(addr uint64, dom isa.Domain) int32 {
-	if v, ok := m.memBoard[addr]; ok {
-		return v
+	if slot, ok := m.memBoard[addr]; ok {
+		return m.memVals[slot]
 	}
 	v := m.newVal(0, true, dom)
-	m.memBoard[addr] = v
+	m.memBoard[addr] = idx32(len(m.memVals))
+	m.memVals = append(m.memVals, v)
 	return v
+}
+
+// setMem records v as the latest renamed value of the memory slot at addr.
+func (m *Machine) setMem(addr uint64, v int32) {
+	if slot, ok := m.memBoard[addr]; ok {
+		m.memVals[slot] = v
+		return
+	}
+	m.memBoard[addr] = idx32(len(m.memVals))
+	m.memVals = append(m.memVals, v)
 }
 
 // growTemps ensures the temp slot tables cover index idx.
@@ -450,153 +472,340 @@ func (m *Machine) appendWrite(v, lat int32) {
 	m.writeLat = append(m.writeLat, lat)
 }
 
+// renameState is the program-order state rename carries from instruction to
+// instruction besides the scoreboards: the accumulated SSE/AVX transition
+// penalty, whether the upper YMM state is dirty, and the count of moves
+// inside dependent chains (every third one is eliminated).
+type renameState struct {
+	penalty        int
+	avxDirty       bool
+	depMoveCounter int
+}
+
 // rename performs the program-order pre-pass: it decomposes every instruction
 // into dynamic µops, resolves register/flag/memory dependencies to renamed
 // values, applies zero-idiom and same-register special cases, and computes
-// the SSE/AVX transition penalty. All state it builds lives in the Machine's
-// arenas; steady-state calls allocate nothing.
-func (m *Machine) rename(code asmgen.Sequence) (int, error) {
-	penalty := 0
-	avxDirty := false
-	depMoveCounter := 0
-	numPorts := m.arch.NumPorts()
-
+// the SSE/AVX transition penalty, which it returns. All state it builds lives
+// in the Machine's arenas; steady-state calls allocate nothing.
+func (m *Machine) rename(code asmgen.Sequence) int {
+	var st renameState
 	for _, inst := range code {
-		in := inst.Variant
-		perf := m.perfFor(in)
+		m.renameInst(inst, &st)
+	}
+	return st.penalty
+}
 
-		// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
-		// instructions are chosen per extension family to avoid this).
-		if p := m.arch.SSEAVXPenalty(); p > 0 {
-			switch {
-			case in.Extension.IsAVX():
-				in.ForEachExplicit(func(_ int, op *isa.Operand) bool {
-					if op.Class == isa.ClassYMM {
-						avxDirty = true
-					}
-					return true
-				})
-			case in.Extension.IsSSE() && avxDirty:
-				penalty += p
-				avxDirty = false
-			}
-			if in.Mnemonic == "VZEROUPPER" || in.Mnemonic == "VZEROALL" {
-				avxDirty = false
-			}
+// minUnitLen is the smallest number of instructions renameRepeated treats as
+// one unit, so the per-unit boundary check stays cheap next to the renaming
+// it can save.
+const minUnitLen = 8
+
+// renameRepeated is rename for sequences that repeat one instruction pattern,
+// as the measurement protocol's n-copy runs do. It splits the sequence into
+// units: the smallest multiple of the shortest period (by instruction
+// identity) with at least minUnitLen instructions. Units are renamed one at a
+// time until renaming one more would provably yield the last unit again with
+// its fresh values shifted by a constant; every remaining whole unit is then
+// appended by copying, and only the partial tail is renamed normally. The
+// arenas, scoreboards and penalty come out element for element as rename
+// would build them.
+//
+// The exactness condition, checked at unit boundary k >= 2 with V_k the
+// value arena length there and Δ = V_k - V_{k-1} the values the last unit
+// created: every scoreboard entry (registers, flags, memory slots in
+// insertion order) is either unchanged since boundary k-1 and older than
+// V_{k-2} (or unset), or held a value x >= V_{k-2} there and holds x+Δ now;
+// and the last unit moved the dependent-move counter by a multiple of 3.
+// Unit k read only scoreboard values of boundary k-1 and values it created
+// itself, and renaming commutes with relabelling values, so unit k+1 is unit
+// k with every value index >= V_{k-2} moved by Δ, and it leaves the
+// scoreboards in the same relation again; by induction unit k+j is unit k
+// moved by j*Δ. The rest of the rename state needs no check because it is
+// constant from boundary 1 on: which register families an instruction
+// writes does not depend on the state, so the produced marks are complete
+// after one unit, and each instruction sets, clears or keeps the AVX-dirty
+// flag regardless of its value, so a unit either leaves the flag alone or
+// always ends it the same way.
+func (m *Machine) renameRepeated(code asmgen.Sequence) int {
+	if len(code) < 3*minUnitLen {
+		return m.rename(code)
+	}
+	unit := m.unitLen(code)
+	units := len(code) / unit
+	if units < 3 {
+		return m.rename(code)
+	}
+	var st renameState
+	var prev, cur unitMark // boundaries k-2 and k-1
+	for k := 1; k <= units; k++ {
+		for _, inst := range code[(k-1)*unit : k*unit] {
+			m.renameInst(inst, &st)
 		}
-
-		// Same-register override (e.g. SHLD on Skylake, Section 7.3.2).
-		sameReg, regCount := allExplicitRegsEqual(inst)
-		if perf.SameRegOverride != nil && sameReg && regCount >= 2 {
-			perf = perf.SameRegOverride
+		next := m.markUnit(&st)
+		if k >= 2 && k < units && (next.depMoves-cur.depMoves)%3 == 0 &&
+			m.renameShifted(idx32(prev.vals), idx32(next.vals-cur.vals)) {
+			m.replicate(&st, idx32(prev.vals), cur, next, units-k)
+			break
 		}
-		zeroIdiom := perf.ZeroIdiom && sameReg && regCount >= 2
+		m.snapshotRename()
+		prev, cur = cur, next
+	}
+	for _, inst := range code[units*unit:] {
+		m.renameInst(inst, &st)
+	}
+	return st.penalty
+}
 
-		// Move elimination: a register-to-register move whose source is not
-		// produced inside the measured code is always eliminated; inside a
-		// dependent chain roughly every third move is eliminated (the
-		// behaviour the paper reports in Section 5.2.1).
-		moveElim := false
-		if perf.MoveElim && isRegRegMove(inst) {
-			srcOp := inst.Ops[1]
-			if !m.produced[srcOp.Reg.Family()] {
-				moveElim = true
-			} else {
-				depMoveCounter++
-				moveElim = depMoveCounter%3 == 0
-			}
+// unitLen returns the replication unit length of code: the smallest multiple
+// of its shortest period by instruction identity with at least minUnitLen
+// instructions. The period comes from the prefix function (the border table
+// of Knuth-Morris-Pratt) over the instruction pointers.
+func (m *Machine) unitLen(code asmgen.Sequence) int {
+	pi := append(m.prefix[:0], 0)
+	k := 0
+	for i := 1; i < len(code); i++ {
+		for k > 0 && code[i] != code[k] {
+			k = int(pi[k-1])
 		}
+		if code[i] == code[k] {
+			k++
+		}
+		pi = append(pi, idx32(k))
+	}
+	m.prefix = pi
+	period := len(code) - k
+	return period * ((minUnitLen + period - 1) / period)
+}
 
-		domain := in.Domain
-		m.tempGen++ // invalidates the previous instruction's temp slots
+// unitMark records the arena lengths and the cumulative rename counters at a
+// unit boundary.
+type unitMark struct {
+	vals, uops, reads, writes int
+	penalty, depMoves         int
+}
 
-		for ui := range perf.Uops {
-			spec := &perf.Uops[ui]
-			uix := len(m.uops)
-			m.uops = append(m.uops, dynUop{
-				divider: spec.Divider,
-				divOcc:  idx32(spec.DivOccupancy),
-				domain:  domain,
-			})
-			du := &m.uops[uix]
-			mask := portMaskFor(spec.Ports, numPorts)
-			if len(spec.Ports) == 0 {
-				du.eliminated = true
-			}
-			if zeroIdiom && perf.ZeroIdiomElim {
-				du.eliminated = true
-				mask = 0
-			}
-			if moveElim {
-				du.eliminated = true
-				mask = 0
-			}
-			du.portMask = mask
-			if spec.Divider && m.cfg.DividerValues == FastDividerValues {
-				du.divOcc = idx32(perf.DivOccupancyLowValues)
-			}
+func (m *Machine) markUnit(st *renameState) unitMark {
+	return unitMark{vals: len(m.vals), uops: len(m.uops), reads: len(m.readIdx),
+		writes: len(m.writeIdx), penalty: st.penalty, depMoves: st.depMoveCounter}
+}
 
-			// Resolve reads. Store-address µops only depend on the address
-			// registers of the memory operand, not on the previous memory
-			// contents.
-			du.rdStart = idx32(len(m.readIdx))
-			for _, ref := range spec.Reads {
-				if zeroIdiom && ref.Kind == uarch.ValOperand && in.Operands[ref.Index].Kind == isa.OpReg {
-					continue // the idiom breaks the dependency on the register
-				}
-				m.resolveReads(inst, ref, spec.StoreAddr)
-			}
-			// Resolve writes (partial-register merges append extra reads).
-			du.wrStart = idx32(len(m.writeIdx))
-			for wi, ref := range spec.Writes {
-				lat := spec.LatencyTo(wi)
-				if spec.Load {
-					lat += m.arch.LoadLatency()
-				}
-				if spec.Divider && m.cfg.DividerValues == FastDividerValues && perf.LatencyLowValues > 0 {
-					lat = perf.LatencyLowValues
-				}
-				if lat < 1 && !du.eliminated {
-					lat = 1
-				}
-				m.resolveWrites(inst, ref, domain, idx32(lat))
-				if ref.Kind == uarch.ValOperand && ref.Index < len(in.Operands) {
-					op := in.Operands[ref.Index]
-					if op.Kind == isa.OpReg {
-						if r := inst.OperandFor(ref.Index).Reg; r != isa.RegNone {
-							m.produced[r.Family()] = true
-						}
-					}
-				}
-			}
-			du.rdEnd = idx32(len(m.readIdx))
-			du.wrEnd = idx32(len(m.writeIdx))
+// snapshotRename saves the scoreboards renameShifted compares against.
+func (m *Machine) snapshotRename() {
+	m.snapReg = m.regBoard
+	m.snapFlag = m.flagBoard
+	m.snapMem = append(m.snapMem[:0], m.memVals...)
+}
 
-			// A µop never waits for values it produces itself (this can
-			// otherwise happen through partial-register merge reads when two
-			// written operands alias the same register).
-			if du.wrEnd > du.wrStart && du.rdEnd > du.rdStart {
-				kept := du.rdStart
-				for ri := du.rdStart; ri < du.rdEnd; ri++ {
-					v := m.readIdx[ri]
-					own := false
-					for wi := du.wrStart; wi < du.wrEnd; wi++ {
-						if m.writeIdx[wi] == v {
-							own = true
-							break
-						}
-					}
-					if !own {
-						m.readIdx[kept] = v
-						kept++
-					}
-				}
-				du.rdEnd = kept
-				m.readIdx = m.readIdx[:kept]
+// renameShifted reports whether the scoreboards moved from the snapshot by
+// exactly the shift renameRepeated's exactness condition describes: entries
+// below lim unchanged, entries at or above lim advanced by delta.
+func (m *Machine) renameShifted(lim, delta int32) bool {
+	return len(m.memVals) == len(m.snapMem) &&
+		shiftedBy(m.snapReg[:], m.regBoard[:], lim, delta) &&
+		shiftedBy(m.snapFlag[:], m.flagBoard[:], lim, delta) &&
+		shiftedBy(m.snapMem, m.memVals, lim, delta)
+}
+
+// shiftedBy reports whether every scoreboard entry went from old[i] to now[i]
+// under the shift x -> x+delta for x >= lim (an unset entry, -1, must stay
+// unset).
+func shiftedBy(old, now []int32, lim, delta int32) bool {
+	for i, v := range now {
+		if o := old[i]; o < lim && v != o || o >= lim && v != o+delta {
+			return false
+		}
+	}
+	return true
+}
+
+// appendShifted appends src to dst with every value index at or above lim
+// moved by shift.
+func appendShifted(dst, src []int32, lim, shift int32) []int32 {
+	for _, v := range src {
+		if v >= lim {
+			v += shift
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// replicate appends times copies of the unit renamed between boundaries from
+// and to, moving every value index at or above lim by j*Δ in copy j and the
+// µop segment offsets by j times the unit's read and write counts, then
+// advances the scoreboards and the penalty to the state after the last copy.
+// The dependent-move counter is used modulo 3 only, and each copy moves it
+// by a multiple of 3, so it stays as it is.
+func (m *Machine) replicate(st *renameState, lim int32, from, to unitMark, times int) {
+	nv, nu := to.vals-from.vals, to.uops-from.uops
+	nr, nw := to.reads-from.reads, to.writes-from.writes
+	m.vals = slices.Grow(m.vals, times*nv)
+	m.uops = slices.Grow(m.uops, times*nu)
+	m.readIdx = slices.Grow(m.readIdx, times*nr)
+	m.writeIdx = slices.Grow(m.writeIdx, times*nw)
+	m.writeLat = slices.Grow(m.writeLat, times*nw)
+	for j := 1; j <= times; j++ {
+		shift, rdOff, wrOff := idx32(j*nv), idx32(j*nr), idx32(j*nw)
+		m.vals = append(m.vals, m.vals[from.vals:to.vals]...)
+		for _, u := range m.uops[from.uops:to.uops] {
+			u.rdStart += rdOff
+			u.rdEnd += rdOff
+			u.wrStart += wrOff
+			u.wrEnd += wrOff
+			m.uops = append(m.uops, u)
+		}
+		m.readIdx = appendShifted(m.readIdx, m.readIdx[from.reads:to.reads], lim, shift)
+		m.writeIdx = appendShifted(m.writeIdx, m.writeIdx[from.writes:to.writes], lim, shift)
+		m.writeLat = append(m.writeLat, m.writeLat[from.writes:to.writes]...)
+	}
+	shift := idx32(times * nv)
+	for _, board := range [][]int32{m.regBoard[:], m.flagBoard[:], m.memVals} {
+		for i, v := range board {
+			if v >= lim {
+				board[i] = v + shift
 			}
 		}
 	}
-	return penalty, nil
+	st.penalty += times * (to.penalty - from.penalty)
+	m.replicated = times
+}
+
+// renameInst renames one instruction in program order (see rename).
+func (m *Machine) renameInst(inst *asmgen.Inst, st *renameState) {
+	numPorts := m.arch.NumPorts()
+	in := inst.Variant
+	perf := m.perfFor(in)
+
+	// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
+	// instructions are chosen per extension family to avoid this).
+	if p := m.arch.SSEAVXPenalty(); p > 0 {
+		switch {
+		case in.Extension.IsAVX():
+			in.ForEachExplicit(func(_ int, op *isa.Operand) bool {
+				if op.Class == isa.ClassYMM {
+					st.avxDirty = true
+				}
+				return true
+			})
+		case in.Extension.IsSSE() && st.avxDirty:
+			st.penalty += p
+			st.avxDirty = false
+		}
+		if in.Mnemonic == "VZEROUPPER" || in.Mnemonic == "VZEROALL" {
+			st.avxDirty = false
+		}
+	}
+
+	// Same-register override (e.g. SHLD on Skylake, Section 7.3.2).
+	sameReg, regCount := allExplicitRegsEqual(inst)
+	if perf.SameRegOverride != nil && sameReg && regCount >= 2 {
+		perf = perf.SameRegOverride
+	}
+	zeroIdiom := perf.ZeroIdiom && sameReg && regCount >= 2
+
+	// Move elimination: a register-to-register move whose source is not
+	// produced inside the measured code is always eliminated; inside a
+	// dependent chain roughly every third move is eliminated (the
+	// behaviour the paper reports in Section 5.2.1).
+	moveElim := false
+	if perf.MoveElim && isRegRegMove(inst) {
+		srcOp := inst.Ops[1]
+		if !m.produced[srcOp.Reg.Family()] {
+			moveElim = true
+		} else {
+			st.depMoveCounter++
+			moveElim = st.depMoveCounter%3 == 0
+		}
+	}
+
+	domain := in.Domain
+	m.tempGen++ // invalidates the previous instruction's temp slots
+
+	for ui := range perf.Uops {
+		spec := &perf.Uops[ui]
+		uix := len(m.uops)
+		m.uops = append(m.uops, dynUop{
+			divider: spec.Divider,
+			divOcc:  idx32(spec.DivOccupancy),
+			domain:  domain,
+		})
+		du := &m.uops[uix]
+		mask := portMaskFor(spec.Ports, numPorts)
+		if len(spec.Ports) == 0 {
+			du.eliminated = true
+		}
+		if zeroIdiom && perf.ZeroIdiomElim {
+			du.eliminated = true
+			mask = 0
+		}
+		if moveElim {
+			du.eliminated = true
+			mask = 0
+		}
+		du.portMask = mask
+		if spec.Divider && m.cfg.DividerValues == FastDividerValues {
+			du.divOcc = idx32(perf.DivOccupancyLowValues)
+		}
+
+		// Resolve reads. Store-address µops only depend on the address
+		// registers of the memory operand, not on the previous memory
+		// contents.
+		du.rdStart = idx32(len(m.readIdx))
+		for _, ref := range spec.Reads {
+			if zeroIdiom && ref.Kind == uarch.ValOperand && in.Operands[ref.Index].Kind == isa.OpReg {
+				continue // the idiom breaks the dependency on the register
+			}
+			m.resolveReads(inst, ref, spec.StoreAddr)
+		}
+		// Resolve writes (partial-register merges append extra reads).
+		du.wrStart = idx32(len(m.writeIdx))
+		for wi, ref := range spec.Writes {
+			lat := spec.LatencyTo(wi)
+			if spec.Load {
+				lat += m.arch.LoadLatency()
+			}
+			if spec.Divider && m.cfg.DividerValues == FastDividerValues && perf.LatencyLowValues > 0 {
+				lat = perf.LatencyLowValues
+			}
+			if lat < 1 && !du.eliminated {
+				lat = 1
+			}
+			m.resolveWrites(inst, ref, domain, idx32(lat))
+			if ref.Kind == uarch.ValOperand && ref.Index < len(in.Operands) {
+				op := in.Operands[ref.Index]
+				if op.Kind == isa.OpReg {
+					if r := inst.OperandFor(ref.Index).Reg; r != isa.RegNone {
+						m.produced[r.Family()] = true
+					}
+				}
+			}
+		}
+		du.rdEnd = idx32(len(m.readIdx))
+		du.wrEnd = idx32(len(m.writeIdx))
+
+		// A µop never waits for values it produces itself (this can
+		// otherwise happen through partial-register merge reads when two
+		// written operands alias the same register).
+		if du.wrEnd > du.wrStart && du.rdEnd > du.rdStart {
+			kept := du.rdStart
+			for ri := du.rdStart; ri < du.rdEnd; ri++ {
+				v := m.readIdx[ri]
+				own := false
+				for wi := du.wrStart; wi < du.wrEnd; wi++ {
+					if m.writeIdx[wi] == v {
+						own = true
+						break
+					}
+				}
+				if !own {
+					m.readIdx[kept] = v
+					kept++
+				}
+			}
+			du.rdEnd = kept
+			m.readIdx = m.readIdx[:kept]
+		}
+	}
 }
 
 // resolveReads appends the renamed values a µop read reference consumes to
@@ -697,7 +906,7 @@ func (m *Machine) resolveWrites(inst *asmgen.Inst, ref uarch.ValRef, domain isa.
 		}
 		m.readIdx = append(m.readIdx, m.liveInReg(conc.Mem.Base, isa.DomainInt))
 		v := m.newVal(0, false, domain)
-		m.memBoard[conc.Mem.Addr] = v
+		m.setMem(conc.Mem.Addr, v)
 		m.appendWrite(v, lat)
 	case isa.OpFlags:
 		for f := isa.Flag(0); f < isa.NumFlags; f++ {
@@ -992,6 +1201,10 @@ func (m *Machine) execute() Counters {
 			}
 			if len(m.readyQ) == 0 {
 				m.readyQ, m.arrivals = m.arrivals, m.readyQ
+			} else if m.arrivals[0] > m.readyQ[len(m.readyQ)-1] {
+				// Every arrival is younger than the whole queue (always so
+				// for arrivals straight from issue): no merge needed.
+				m.readyQ = append(m.readyQ, m.arrivals...)
 			} else {
 				merged := m.readyScratch[:0]
 				i, j := 0, 0

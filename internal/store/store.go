@@ -114,9 +114,9 @@ type Digest struct {
 func (k Key) Digest() Digest {
 	h := sha256.New()
 	fmt.Fprintf(h, "store-v%d\narch=%s\nbackend=%s\nscope=%s\n", Version, k.Arch, k.Backend, k.Scope)
-	fmt.Fprintf(h, "measure short=%d long=%d rep=%d warmup=%v overheadCycles=%d overheadUops=%d\n",
+	fmt.Fprintf(h, "measure short=%d long=%d rep=%d overheadCycles=%d overheadUops=%d\n",
 		k.Measure.ShortCopies, k.Measure.LongCopies, k.Measure.Repetitions,
-		k.Measure.Warmup, k.Measure.OverheadCycles, k.Measure.OverheadUops)
+		k.Measure.OverheadCycles, k.Measure.OverheadUops)
 	variants := append([]string(nil), k.Variants...)
 	sort.Strings(variants)
 	for _, v := range variants {
